@@ -223,7 +223,7 @@ type Replica struct {
 	vcVotes      map[uint64]map[types.NodeID]*viewChange
 	lastVC       *viewChange                            // our current view-change vote, for retransmission
 	vcResent     bool                                   // whether lastVC was already retransmitted this view
-	executedDig  map[types.Hash]uint64                  // digest → slot it executed at
+	executedDig  map[types.Hash]uint64                  // digest → slot it executed at, reclaimed with slots
 	fetchVotes   map[uint64]map[types.NodeID]fetchReply // gap-recovery replies
 	fetchTried   bool                                   // alternate gap-fetch with view change
 	histDigest   types.Hash                             // cumulative digest of executed history
@@ -243,6 +243,10 @@ type Replica struct {
 	aggMode  bool
 	voteKeys *quorumcert.Keys
 	batcher  *network.VoteBatcher
+
+	// onVerify, when non-nil, observes every vote signature check
+	// (tests count verifications per slot and phase). Set before Start.
+	onVerify func(typ string, seq uint64)
 }
 
 // New creates a PBFT replica. Call Start to launch it.
@@ -448,6 +452,14 @@ func (r *Replica) onCheckpoint(from types.NodeID, ck checkpoint) {
 			delete(r.fetchVotes, seq)
 		}
 	}
+	// Executed digests go with their slots: exactly-once delivery of a
+	// re-proposed request is kept across the retained window (DESIGN.md,
+	// "PBFT vote checks and dedup horizon"), and the map stays bounded.
+	for d, seq := range r.executedDig {
+		if int64(seq) <= low {
+			delete(r.executedDig, d)
+		}
+	}
 	for v := range r.vcVotes {
 		if v+1 < r.view { // stale view-change bookkeeping
 			delete(r.vcVotes, v)
@@ -623,19 +635,13 @@ func (r *Replica) onMessage(m network.Message) {
 		r.acceptPrePrepare(m.From, pp)
 	case msgPrepare:
 		v, ok := m.Payload.(vote)
-		if !ok {
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, v.Sig, []byte(msgPrepare), consensus.U64(v.View), consensus.U64(v.Seq), v.Digest[:]) {
+		if !ok || !r.verifyVote(m.From, msgPrepare, v) {
 			return
 		}
 		r.onPrepare(m.From, v)
 	case msgCommit:
 		v, ok := m.Payload.(vote)
-		if !ok {
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, v.Sig, []byte(msgCommit), consensus.U64(v.View), consensus.U64(v.Seq), v.Digest[:]) {
+		if !ok || !r.verifyVote(m.From, msgCommit, v) {
 			return
 		}
 		r.onCommit(m.From, v)
@@ -705,6 +711,32 @@ func (r *Replica) onMessage(m network.Message) {
 			r.ep.Multicast(r.cfg.Nodes, msgFetch, fetch{Seq: r.lastExec + 1})
 		}
 	}
+}
+
+// verifyVote authenticates a counted-mode prepare or commit. A vote
+// that can no longer change its slot is dropped unverified, which bounds
+// the signature checks per phase near the quorum instead of n-1: a
+// prepare for the pre-prepared (view, digest) once this replica has
+// sent its commit (its prepare quorum is complete, and a later vote
+// only matters to view-change bookkeeping that already counts the
+// quorum), and any commit for a slot already committed or executed
+// (onCommit ignores it). A forged late vote is thus dropped, not
+// rejected — either way it leaves no trace in the slot.
+func (r *Replica) verifyVote(from types.NodeID, typ string, v vote) bool {
+	if s, ok := r.slots[v.Seq]; ok {
+		late := s.committed || s.executed
+		if typ == msgPrepare {
+			late = s.sentCommit && s.ppView == v.View && s.digest == v.Digest
+		}
+		if late {
+			r.cfg.Obs.Inc("pbft/votes_unverified")
+			return false
+		}
+	}
+	if r.onVerify != nil {
+		r.onVerify(typ, v.Seq)
+	}
+	return r.cfg.VerifyPart(from, v.Sig, []byte(typ), consensus.U64(v.View), consensus.U64(v.Seq), v.Digest[:])
 }
 
 func (r *Replica) slot(seq uint64) *slot {

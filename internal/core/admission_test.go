@@ -56,9 +56,17 @@ func TestMempoolDedupSettlesBothReceiptsOnce(t *testing.T) {
 	// Exactly-once handoff: an identical transaction submitted twice
 	// while pending reaches consensus once — both receipts settle from
 	// the same commit, and the state change applies a single time.
-	c := newChain(t, Config{Nodes: 4, Protocol: PBFT, Arch: OX, BlockSize: 8,
-		FlushEvery: time.Hour,
-		Mempool:    &mempool.Config{Capacity: 64, BatchDeadline: time.Hour}})
+	// The stall gate keeps the first submission's block from settling
+	// until the duplicate is in, so the two always overlap.
+	c, err := New(Config{Nodes: 4, Protocol: PBFT, Arch: OX, BlockSize: 8,
+		Timeout: 400 * time.Millisecond, Mempool: &mempool.Config{Capacity: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	c.testExecGate = gate
+	c.Start()
+	t.Cleanup(c.Stop)
 	tx := addTx("dup", "ctr", 1)
 	r1, err := c.SubmitAsync(tx)
 	if err != nil {
@@ -69,6 +77,7 @@ func TestMempoolDedupSettlesBothReceiptsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
+	close(gate)
 	for i, r := range []*Receipt{r1, r2} {
 		if err := r.Wait(10 * time.Second); err != nil {
 			t.Fatalf("receipt %d: %v", i, err)
@@ -89,11 +98,13 @@ func TestMempoolDedupSettlesBothReceiptsOnce(t *testing.T) {
 }
 
 func TestMempoolShedsTypedWithRetryAfterAndAccounting(t *testing.T) {
-	// Fill a pool that can never drain (huge batch deadline, batch size
-	// above capacity): admissions past capacity fast-fail with the
-	// typed *RejectError carrying a retry-after hint, the shed lands in
-	// the transport's per-cause loss accounting, no receipt is issued
-	// for a shed, and Stop orphans the pooled remainder exactly once.
+	// Fill a pool that can never drain (the stall gate holds every
+	// executor, so nothing handed off settles, and the huge batch
+	// deadline keeps the rest pooled): admissions past capacity
+	// fast-fail with the typed *RejectError carrying a retry-after
+	// hint, the shed lands in the transport's per-cause loss
+	// accounting, no receipt is issued for a shed, and shutdown orphans
+	// the pooled and in-flight remainder exactly once.
 	const capacity = 8
 	o := obs.New()
 	net := network.New()
@@ -105,6 +116,7 @@ func TestMempoolShedsTypedWithRetryAfterAndAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.testExecGate = make(chan struct{})
 	c.Start()
 	t.Cleanup(c.Stop)
 	receipts := make([]*Receipt, 0, capacity)
@@ -132,7 +144,9 @@ func TestMempoolShedsTypedWithRetryAfterAndAccounting(t *testing.T) {
 		t.Fatalf("pool stats: max occupancy %d (want %d), rejected full %d (want 3)",
 			st.MaxOccupancy, capacity, st.RejectedFull)
 	}
-	c.Stop()
+	// A clean Stop waits for the gated executors to drain; a kill does
+	// not.
+	c.Crash()
 	for i, r := range receipts {
 		if !errors.Is(r.Wait(0), ErrStopped) {
 			t.Fatalf("pooled receipt %d: err %v, want ErrStopped", i, r.Err())
@@ -206,13 +220,15 @@ func TestSubmitDuringStopTimeoutInteraction(t *testing.T) {
 
 func TestReceiptWaitContextTyped(t *testing.T) {
 	// WaitContext on an unsettled receipt: context expiry surfaces as
-	// the typed ErrAwaitTimeout and also matches the context cause.
-	c, err := New(Config{Nodes: 4, Protocol: PBFT, Arch: OX, BlockSize: 1024,
-		FlushEvery: time.Hour, Timeout: 400 * time.Millisecond,
-		Mempool: &mempool.Config{Capacity: 16, BatchSize: 17, BatchDeadline: time.Hour}})
+	// the typed ErrAwaitTimeout and also matches the context cause. The
+	// stall gate holds every executor, so the handed-off transaction is
+	// decided but never applied.
+	c, err := New(Config{Nodes: 4, Protocol: PBFT, Arch: OX,
+		Timeout: 400 * time.Millisecond, Mempool: &mempool.Config{Capacity: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.testExecGate = make(chan struct{})
 	c.Start()
 	t.Cleanup(c.Stop)
 	r, err := c.SubmitAsync(addTx("stuck", "k", 1))
@@ -228,9 +244,10 @@ func TestReceiptWaitContextTyped(t *testing.T) {
 	if !errors.Is(werr, context.DeadlineExceeded) {
 		t.Fatalf("WaitContext: %v should also match context.DeadlineExceeded", werr)
 	}
-	c.Stop()
-	// After Stop the same receipt settles; WaitContext now reports the
-	// settle error, not the context.
+	// A clean Stop waits for the gated executors to drain, so end the
+	// chain the way a kill does: the receipt settles as stopped, and
+	// WaitContext now reports the settle error, not the context.
+	c.Crash()
 	if err := r.WaitContext(context.Background()); !errors.Is(err, ErrStopped) {
 		t.Fatalf("post-stop WaitContext: %v, want ErrStopped", err)
 	}

@@ -113,7 +113,8 @@ type Config struct {
 	XOVOptions xov.Options
 	// BlockSize is the max transactions per block (default 64).
 	BlockSize int
-	// FlushEvery bounds how long a partial batch waits (default 20ms).
+	// FlushEvery is the direct path's flush period (default 20ms); with
+	// Config.Mempool it becomes the default BatchDeadline bound.
 	FlushEvery time.Duration
 	// Timeout is the consensus failure-detection timeout.
 	Timeout time.Duration
@@ -180,9 +181,11 @@ type Config struct {
 	// commit pipeline: submissions are deduplicated by digest, capped by
 	// a hard capacity and per-client fair-share quotas (typed rejections
 	// with retry-after hints instead of unbounded queueing), and handed
-	// to consensus in batches formed by size or deadline. Unset fields
-	// inherit the chain's shape: BatchSize from BlockSize, BatchDeadline
-	// from FlushEvery, Obs from Config.Obs. Nil keeps the direct
+	// to consensus on the pipeline's own clock: a full batch at once, a
+	// partial one after the pipeline idled for one round (see
+	// mempool.Pool.Cut). Unset fields inherit the chain's shape:
+	// BatchSize from BlockSize, BatchDeadline (an upper bound only) from
+	// FlushEvery, Obs from Config.Obs. Nil keeps the direct
 	// unbounded submit path.
 	Mempool *mempool.Config
 }

@@ -20,7 +20,6 @@ import (
 type Chain struct {
 	mu     sync.RWMutex
 	blocks []*types.Block
-	byHash map[types.Hash]uint64
 }
 
 // Chain append errors.
@@ -33,10 +32,7 @@ var (
 // NewChain creates a ledger holding only the genesis block.
 func NewChain() *Chain {
 	genesis := types.NewBlock(0, types.ZeroHash, -1, nil)
-	c := &Chain{byHash: map[types.Hash]uint64{}}
-	c.blocks = append(c.blocks, genesis)
-	c.byHash[genesis.Hash()] = 0
-	return c
+	return &Chain{blocks: []*types.Block{genesis}}
 }
 
 // NewChainFromBlocks rebuilds a chain from application blocks (heights
@@ -80,7 +76,6 @@ func (c *Chain) Append(b *types.Block) error {
 		return ErrBadTxRoot
 	}
 	c.blocks = append(c.blocks, b)
-	c.byHash[b.Hash()] = b.Header.Height
 	return nil
 }
 
@@ -104,15 +99,18 @@ func (c *Chain) Get(height uint64) (*types.Block, error) {
 	return c.blocks[height], nil
 }
 
-// GetByHash returns the block with the given header hash.
+// GetByHash returns the block with the given header hash. It scans
+// from the head back, hashing each header: lookups by hash are rare,
+// and an index would cost every replica one map entry per block.
 func (c *Chain) GetByHash(h types.Hash) (*types.Block, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	height, ok := c.byHash[h]
-	if !ok {
-		return nil, false
+	for i := len(c.blocks) - 1; i >= 0; i-- {
+		if c.blocks[i].Hash() == h {
+			return c.blocks[i], true
+		}
 	}
-	return c.blocks[height], true
+	return nil, false
 }
 
 // Len returns the number of blocks including genesis.

@@ -21,10 +21,16 @@
 //     transaction is handed to consensus once and both submissions
 //     settle from the same commit.
 //
-// Batches form by size or time deadline (whichever comes first) and
-// feed core.Chain's consensus intake; the commit path releases digests
-// once their block commits, which both re-opens capacity and drives the
-// drain-rate estimate behind retry-after hints.
+// Batches leave the pool on the ordering pipeline's own clock, a
+// rent-or-buy rule with no tuning knob (see Cut): a full batch is
+// handed off at once; a partial batch is handed off once nothing has
+// been in flight (between handoff and Release) for as long as the last
+// round took, so a batch waits about one round, the cost of ordering
+// it, before paying for a round of its own; and BatchDeadline caps the
+// wait of the oldest pooled transaction when the pipeline never goes
+// idle. The commit path releases digests once their block commits,
+// which re-opens capacity, ends rounds, and drives the drain-rate
+// estimate behind retry-after hints.
 package mempool
 
 import (
@@ -89,8 +95,13 @@ type Config struct {
 	// BatchSize is the max transactions per handed-off batch.
 	// Default 64 (core aligns it with Config.BlockSize).
 	BatchSize int
-	// BatchDeadline bounds how long a partial batch waits before being
-	// handed off anyway. Default 20ms (core aligns it with FlushEvery).
+	// BatchDeadline is an upper bound, not a batching period: a partial
+	// batch normally leaves once the pipeline has idled for one round
+	// (see Pool.Cut), and the deadline only hands it off when the
+	// oldest pooled transaction has waited this long because the
+	// pipeline never went idle — under overload or CPU contention the
+	// rule thereby falls back to deadline batching. Default 20ms (core
+	// aligns it with FlushEvery).
 	BatchDeadline time.Duration
 	// Obs receives admission/reject/occupancy/batch metrics. Nil
 	// disables instrumentation.
@@ -154,9 +165,19 @@ type Pool struct {
 
 	stats Stats
 
-	// ready is signalled (non-blocking) when the queue first reaches
-	// BatchSize, waking the drain loop before its deadline tick.
+	// ready is signalled (non-blocking) whenever the handoff decision
+	// may have changed: the queue became non-empty or reached
+	// BatchSize, or the in-flight set drained.
 	ready chan struct{}
+
+	// Round clock behind the idle rule. lastHandoff is when the newest
+	// in-flight batch left; lastRound is how long the last round (the
+	// handoff to the Release that drained the in-flight set) took;
+	// idleSince is when that drain happened (New starts the pool idle,
+	// with a zero round).
+	lastHandoff time.Time
+	lastRound   time.Duration
+	idleSince   time.Time
 
 	// Drain-rate EWMA (txs/sec released by commits), behind RetryAfter.
 	drainRate   float64
@@ -172,6 +193,7 @@ func New(cfg Config) *Pool {
 		perClient: make(map[types.NodeID]int),
 		lastSeen:  make(map[types.NodeID]time.Time),
 		ready:     make(chan struct{}, 1),
+		idleSince: time.Now(),
 	}
 }
 
@@ -179,9 +201,17 @@ func New(cfg Config) *Pool {
 func (p *Pool) Config() Config { return p.cfg }
 
 // Ready returns the channel the drain loop selects on: it receives a
-// token when a full batch is waiting, so handoff does not have to wait
-// for the deadline tick.
+// token whenever Cut's answer may have changed without time passing —
+// the first transaction pooled, a full batch waiting, or the in-flight
+// set drained.
 func (p *Pool) Ready() <-chan struct{} { return p.ready }
+
+func (p *Pool) signal() {
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
+}
 
 // quotaLocked returns this client's current cap. With ClientQuota set
 // it is fixed; otherwise it is the dynamic fair share — Capacity
@@ -290,7 +320,7 @@ func (p *Pool) Admit(tx *types.Transaction, onDecided func(dup bool)) (dup bool,
 	if p.stats.Occupancy > p.stats.MaxOccupancy {
 		p.stats.MaxOccupancy = p.stats.Occupancy
 	}
-	full := len(p.queue) >= p.cfg.BatchSize
+	wake := len(p.queue) == 1 || len(p.queue) == p.cfg.BatchSize
 	occ := p.stats.Occupancy
 	if onDecided != nil {
 		onDecided(false)
@@ -299,32 +329,89 @@ func (p *Pool) Admit(tx *types.Transaction, onDecided func(dup bool)) (dup bool,
 
 	o.Inc("mempool/admitted")
 	o.SetGauge("mempool/occupancy", int64(occ))
-	if full {
-		select {
-		case p.ready <- struct{}{}:
-		default:
-		}
+	if wake {
+		p.signal()
 	}
 	return false, nil
 }
 
-// NextBatch pops up to max pooled transactions (FIFO) and marks them
-// inflight; they stay counted against capacity and their client's
-// quota until Release. Returns nil when nothing is pooled.
-func (p *Pool) NextBatch(max int) []*types.Transaction {
-	if max <= 0 || max > p.cfg.BatchSize {
-		max = p.cfg.BatchSize
-	}
+// Handoff reasons: why a batch left the pool, counted as
+// mempool/handoff_<reason>.
+const (
+	handoffFull     = "mempool/handoff_full"
+	handoffIdle     = "mempool/handoff_idle"
+	handoffDeadline = "mempool/handoff_deadline"
+	handoffFlush    = "mempool/handoff_flush"
+)
+
+// Cut applies the handoff rule at the current time. It pops the next
+// batch (up to max, capped at BatchSize) when one is due:
+//
+//   - full: a whole batch is pooled;
+//   - idle: nothing is in flight and the pipeline has been idle for at
+//     least as long as the last round took — rent-or-buy: waiting one
+//     round's cost before buying a round of its own keeps a partial
+//     batch from paying for consensus alone, while an idle pipeline
+//     never holds work for longer than the round it would save;
+//   - deadline: the oldest pooled transaction has waited BatchDeadline
+//     (the pipeline never went idle, e.g. a predecessor never settles).
+//
+// Otherwise it returns nil and how long until the rule can fire with
+// no further event (0 when the pool is empty); admission, a full batch
+// and the drain of the in-flight set signal Ready instead.
+func (p *Pool) Cut(max int) (batch []*types.Transaction, wait time.Duration) {
 	now := time.Now()
 	p.mu.Lock()
 	n := len(p.queue)
 	if n == 0 {
 		p.mu.Unlock()
+		return nil, 0
+	}
+	size := p.batchCap(max)
+	var reason string
+	switch age := now.Sub(p.entries[p.queue[0]].admitted); {
+	case n >= size:
+		reason = handoffFull
+	case age >= p.cfg.BatchDeadline:
+		reason = handoffDeadline
+	case p.stats.Inflight == 0 && now.Sub(p.idleSince) >= p.lastRound:
+		reason = handoffIdle
+	default:
+		wait = p.cfg.BatchDeadline - age
+		if p.stats.Inflight == 0 {
+			wait = min(wait, p.lastRound-now.Sub(p.idleSince))
+		}
+		p.mu.Unlock()
+		return nil, wait
+	}
+	return p.popLocked(now, size, reason), 0
+}
+
+// NextBatch pops up to max pooled transactions (FIFO) regardless of the
+// handoff rule — the flush path that empties the pool on demand. They
+// stay counted against capacity and their client's quota until
+// Release. Returns nil when nothing is pooled.
+func (p *Pool) NextBatch(max int) []*types.Transaction {
+	now := time.Now()
+	p.mu.Lock()
+	if len(p.queue) == 0 {
+		p.mu.Unlock()
 		return nil
 	}
-	if n > max {
-		n = max
+	return p.popLocked(now, p.batchCap(max), handoffFlush)
+}
+
+func (p *Pool) batchCap(max int) int {
+	if max <= 0 || max > p.cfg.BatchSize {
+		return p.cfg.BatchSize
 	}
+	return max
+}
+
+// popLocked hands off up to size pooled transactions, marks them
+// inflight and starts (or extends) the round. It unlocks p.mu.
+func (p *Pool) popLocked(now time.Time, size int, reason string) []*types.Transaction {
+	n := min(len(p.queue), size)
 	batch := make([]*types.Transaction, 0, n)
 	var waited time.Duration
 	for _, digest := range p.queue[:n] {
@@ -336,13 +423,15 @@ func (p *Pool) NextBatch(max int) []*types.Transaction {
 	p.queue = p.queue[n:]
 	p.stats.Pooled -= n
 	p.stats.Inflight += n
+	p.lastHandoff = now
 	p.mu.Unlock()
 
 	o := p.cfg.Obs
 	o.Inc("mempool/batches")
+	o.Inc(reason)
 	o.ObserveInt("mempool/batch_size", int64(n))
 	// One representative sample per batch keeps the histogram cheap;
-	// the mean pooled wait is what the deadline bounds.
+	// the mean pooled wait is what the handoff rule sets.
 	o.Observe("mempool/admit_to_handoff", waited/time.Duration(n))
 	return batch
 }
@@ -362,6 +451,7 @@ func (p *Pool) Release(txs []*types.Transaction) {
 	now := time.Now()
 	p.mu.Lock()
 	released := 0
+	busy := p.stats.Inflight > 0
 	for _, tx := range txs {
 		digest := tx.Hash()
 		e, ok := p.entries[digest]
@@ -398,8 +488,19 @@ func (p *Pool) Release(txs []*types.Transaction) {
 		}
 		p.lastRelease = now
 	}
+	drained := busy && p.stats.Inflight == 0
+	if drained {
+		// The round that began at the newest handoff ends here; the
+		// pipeline is idle until the next one.
+		p.lastRound = now.Sub(p.lastHandoff)
+		p.idleSince = now
+	}
+	wake := drained && len(p.queue) > 0
 	occ := p.stats.Occupancy
 	p.mu.Unlock()
+	if wake {
+		p.signal()
+	}
 	if released > 0 {
 		p.cfg.Obs.Add("mempool/released", int64(released))
 		p.cfg.Obs.SetGauge("mempool/occupancy", int64(occ))

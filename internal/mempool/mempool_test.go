@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"permchain/internal/obs"
 	"permchain/internal/types"
 )
 
@@ -201,24 +202,30 @@ func TestCapacityNeverExceededConcurrently(t *testing.T) {
 }
 
 func TestBatchDeadlineFiresPartialBatch(t *testing.T) {
-	// Batch-by-time: with fewer than BatchSize pooled, Ready never
-	// signals — the deadline tick (the drain loop's ticker calls
-	// NextBatch) must still hand off the partial batch.
+	// Batch-by-time: while a batch is in flight the idle rule cannot
+	// fire, so a partial batch stays pooled — the deadline must still
+	// hand it off.
 	p := New(Config{Capacity: 16, BatchSize: 8, BatchDeadline: 5 * time.Millisecond})
+	if _, err := p.Admit(tx(0, "head"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if batch, _ := p.Cut(8); len(batch) != 1 { // a fresh pool is idle
+		t.Fatalf("idle handoff carried %d txs, want 1", len(batch))
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := p.Admit(tx(0, fmt.Sprintf("t%d", i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case <-p.Ready():
-		t.Fatal("Ready signalled below BatchSize")
-	default:
+	if batch, wait := p.Cut(8); batch != nil || wait <= 0 {
+		t.Fatalf("handed off %d txs below BatchSize with a batch in flight (wait %v)", len(batch), wait)
 	}
-	if batch := p.NextBatch(8); len(batch) != 3 {
+	time.Sleep(5 * time.Millisecond)
+	if batch, _ := p.Cut(8); len(batch) != 3 {
 		t.Fatalf("deadline handoff carried %d txs, want the partial 3", len(batch))
 	}
-	// Batch-by-size: the 8th pooled tx trips Ready without a deadline.
+	// Batch-by-size: the 8th pooled tx trips Ready and hands off at
+	// once, in flight or not.
 	for i := 0; i < 8; i++ {
 		if _, err := p.Admit(tx(0, fmt.Sprintf("s%d", i)), nil); err != nil {
 			t.Fatal(err)
@@ -229,8 +236,104 @@ func TestBatchDeadlineFiresPartialBatch(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Ready did not signal at BatchSize")
 	}
-	if batch := p.NextBatch(8); len(batch) != 8 {
+	if batch, _ := p.Cut(8); len(batch) != 8 {
 		t.Fatalf("full batch carried %d txs, want 8", len(batch))
+	}
+}
+
+func TestHandoffRule(t *testing.T) {
+	// The self-clocked rule, case by case: quiet while a batch is in
+	// flight, a partial batch after an idle period of at least one
+	// round, a full batch at once, and the deadline as the bound when a
+	// predecessor never settles. Each handoff is counted by reason.
+	const round = 30 * time.Millisecond
+	o := obs.New()
+	p := New(Config{Capacity: 64, BatchSize: 4, BatchDeadline: 2 * time.Second, Obs: o})
+	admit := func(ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if _, err := p.Admit(tx(0, id), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	admit("a")
+	handedOff := time.Now()
+	first, _ := p.Cut(0)
+	if len(first) != 1 {
+		t.Fatalf("fresh idle pool handed off %d txs, want 1", len(first))
+	}
+
+	// Quiet while in flight: the partial batch waits for the drain (or
+	// the deadline), however long it has been pooled.
+	admit("b", "c")
+	time.Sleep(round)
+	if batch, wait := p.Cut(0); batch != nil || wait <= 0 || wait > 2*time.Second {
+		t.Fatalf("in-flight pool handed off %d txs (wait %v), want none", len(batch), wait)
+	}
+
+	// The release that drains the in-flight set ends a round of at
+	// least `round`; the partial batch then waits that long again.
+	drainedAt := time.Now()
+	p.Release(first)
+	lastRound := time.Since(handedOff) // an upper bound on the pool's own measure
+	select {
+	case <-p.Ready():
+	default:
+		t.Fatal("drain with pooled work did not signal Ready")
+	}
+	batch, wait := p.Cut(0)
+	if batch != nil || wait <= 0 || wait > lastRound {
+		t.Fatalf("right after the drain: %d txs, wait %v; want none and a wait within the %v round", len(batch), wait, lastRound)
+	}
+	time.Sleep(wait)
+	second, _ := p.Cut(0)
+	if len(second) != 2 {
+		t.Fatalf("idle handoff carried %d txs, want the partial 2", len(second))
+	}
+	if idle := time.Since(drainedAt); idle < round {
+		t.Fatalf("partial batch left after %v idle, shorter than the round (at least %v)", idle, round)
+	}
+
+	// A full batch leaves at once, with the partial one still in flight.
+	admit("d", "e", "f", "g")
+	if full, _ := p.Cut(0); len(full) != 4 {
+		t.Fatalf("full batch carried %d txs, want 4", len(full))
+	}
+
+	// The predecessors never settle: only the deadline moves "h".
+	q := New(Config{Capacity: 8, BatchSize: 4, BatchDeadline: 20 * time.Millisecond, Obs: o})
+	if _, err := q.Admit(tx(0, "x"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := q.Cut(0); len(b) != 1 {
+		t.Fatalf("fresh pool handed off %d txs, want 1", len(b))
+	}
+	if _, err := q.Admit(tx(0, "h"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if b, wait := q.Cut(0); b != nil || wait <= 0 || wait > 20*time.Millisecond {
+		t.Fatalf("before the deadline: %d txs, wait %v", len(b), wait)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if b, _ := q.Cut(0); len(b) != 1 || b[0].ID != "h" {
+		t.Fatalf("deadline handoff = %v, want [h]", b)
+	}
+	if _, err := q.Admit(tx(0, "z"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if b := q.NextBatch(0); len(b) != 1 {
+		t.Fatalf("flush carried %d txs, want 1", len(b))
+	}
+
+	m := o.Reg.Snapshot().Counters
+	for reason, want := range map[string]int64{"full": 1, "idle": 3, "deadline": 1, "flush": 1} {
+		if got := m["mempool/handoff_"+reason]; got != want {
+			t.Errorf("mempool/handoff_%s = %d, want %d", reason, got, want)
+		}
+	}
+	if m["mempool/batches"] != 6 {
+		t.Errorf("mempool/batches = %d, want 6", m["mempool/batches"])
 	}
 }
 
