@@ -15,7 +15,7 @@ package arch
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
 
 	"permchain/internal/types"
 )
@@ -80,35 +80,23 @@ func (s Stats) Total() int { return s.Committed + s.Aborted + s.Failed }
 // the a-priori declaration ParBlockchain's orderers use to build
 // dependency graphs (§2.3.3) without executing anything.
 func DeclaredRW(tx *types.Transaction) (reads, writes []string) {
-	rs := map[string]bool{}
-	ws := map[string]bool{}
 	for _, op := range tx.Ops {
 		switch op.Code {
-		case types.OpGet:
-			rs[op.Key] = true
+		case types.OpGet, types.OpAssertGE:
+			reads = append(reads, op.Key)
 		case types.OpPut:
-			ws[op.Key] = true
+			writes = append(writes, op.Key)
 		case types.OpAdd:
-			rs[op.Key] = true
-			ws[op.Key] = true
+			reads = append(reads, op.Key)
+			writes = append(writes, op.Key)
 		case types.OpTransfer:
-			rs[op.Key] = true
-			ws[op.Key] = true
-			rs[op.Key2] = true
-			ws[op.Key2] = true
-		case types.OpAssertGE:
-			rs[op.Key] = true
+			reads = append(reads, op.Key, op.Key2)
+			writes = append(writes, op.Key, op.Key2)
 		}
 	}
-	for k := range rs {
-		reads = append(reads, k)
-	}
-	for k := range ws {
-		writes = append(writes, k)
-	}
-	sort.Strings(reads)
-	sort.Strings(writes)
-	return reads, writes
+	slices.Sort(reads)
+	slices.Sort(writes)
+	return slices.Compact(reads), slices.Compact(writes)
 }
 
 // Conflicts reports whether two transactions conflict on their declared
@@ -146,20 +134,60 @@ type DependencyGraph struct {
 // conflict, the edge is i→j, preserving the agreed total order on
 // conflicting pairs while freeing non-conflicting pairs to run in
 // parallel.
+//
+// The graph is built in one sweep over a per-key index of earlier
+// readers and writers instead of testing every pair, so its cost grows
+// with the declared keys and the edges, not with n²: transaction j's
+// predecessors are the earlier readers and writers of each key j writes
+// plus the earlier writers of each key j reads — exactly the i<j for
+// which Conflicts holds.
 func BuildDependencyGraph(txs []*types.Transaction) *DependencyGraph {
 	n := len(txs)
 	g := &DependencyGraph{N: n, Succ: make([][]int, n), InDeg: make([]int, n)}
-	reads := make([][]string, n)
-	writes := make([][]string, n)
-	for i, tx := range txs {
-		reads[i], writes[i] = DeclaredRW(tx)
+	type keyUse struct{ readers, writers []int }
+	index := make(map[string]*keyUse)
+	use := func(k string) *keyUse {
+		u := index[k]
+		if u == nil {
+			u = &keyUse{}
+			index[k] = u
+		}
+		return u
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if Conflicts(reads[i], writes[i], reads[j], writes[j]) {
-				g.Succ[i] = append(g.Succ[i], j)
-				g.InDeg[j]++
+	// mark[i] == j+1 once the edge i→j is recorded, so a pair that
+	// conflicts on several keys gets one edge.
+	mark := make([]int, n)
+	var preds []int
+	for j, tx := range txs {
+		reads, writes := DeclaredRW(tx)
+		preds = preds[:0]
+		add := func(is []int) {
+			for _, i := range is {
+				if mark[i] != j+1 {
+					mark[i] = j + 1
+					preds = append(preds, i)
+				}
 			}
+		}
+		for _, k := range writes {
+			u := use(k)
+			add(u.readers)
+			add(u.writers)
+		}
+		for _, k := range reads {
+			add(use(k).writers)
+		}
+		for _, i := range preds {
+			g.Succ[i] = append(g.Succ[i], j)
+		}
+		g.InDeg[j] = len(preds)
+		for _, k := range writes {
+			u := index[k]
+			u.writers = append(u.writers, j)
+		}
+		for _, k := range reads {
+			u := index[k]
+			u.readers = append(u.readers, j)
 		}
 	}
 	return g

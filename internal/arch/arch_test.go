@@ -37,6 +37,16 @@ func TestDeclaredRW(t *testing.T) {
 	if fmt.Sprint(writes) != fmt.Sprint(wantW) {
 		t.Fatalf("writes = %v, want %v", writes, wantW)
 	}
+	// A key touched by several ops is declared once per set.
+	dup := &types.Transaction{Ops: []types.Op{
+		{Code: types.OpTransfer, Key: "y", Key2: "x"},
+		{Code: types.OpAdd, Key: "x"},
+		{Code: types.OpGet, Key: "y"},
+	}}
+	reads, writes = DeclaredRW(dup)
+	if fmt.Sprint(reads) != "[x y]" || fmt.Sprint(writes) != "[x y]" {
+		t.Fatalf("duplicate keys: reads = %v, writes = %v", reads, writes)
+	}
 }
 
 func TestConflicts(t *testing.T) {
@@ -77,6 +87,46 @@ func TestBuildDependencyGraph(t *testing.T) {
 	}
 	if g.InDeg[1] != 1 || g.InDeg[0] != 0 || g.InDeg[2] != 0 {
 		t.Fatalf("indegrees = %v", g.InDeg)
+	}
+}
+
+// TestBuildDependencyGraphMatchesPairwise checks the indexed sweep
+// against the definition: an edge i→j for exactly the pairs i<j whose
+// declared read/write sets conflict, successors in ascending order.
+func TestBuildDependencyGraphMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	codes := []types.OpCode{types.OpGet, types.OpPut, types.OpAdd, types.OpTransfer, types.OpAssertGE}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		keys := 1 + rng.Intn(12)
+		txs := make([]*types.Transaction, n)
+		for i := range txs {
+			ops := make([]types.Op, 1+rng.Intn(3))
+			for o := range ops {
+				ops[o] = types.Op{
+					Code: codes[rng.Intn(len(codes))],
+					Key:  fmt.Sprintf("k%d", rng.Intn(keys)),
+					Key2: fmt.Sprintf("k%d", rng.Intn(keys)),
+				}
+			}
+			txs[i] = opTx(fmt.Sprint(i), ops...)
+		}
+		want := &DependencyGraph{N: n, Succ: make([][]int, n), InDeg: make([]int, n)}
+		for i := 0; i < n; i++ {
+			ri, wi := DeclaredRW(txs[i])
+			for j := i + 1; j < n; j++ {
+				rj, wj := DeclaredRW(txs[j])
+				if Conflicts(ri, wi, rj, wj) {
+					want.Succ[i] = append(want.Succ[i], j)
+					want.InDeg[j]++
+				}
+			}
+		}
+		got := BuildDependencyGraph(txs)
+		if fmt.Sprint(got.Succ) != fmt.Sprint(want.Succ) || fmt.Sprint(got.InDeg) != fmt.Sprint(want.InDeg) {
+			t.Fatalf("trial %d: got succ=%v indeg=%v, want succ=%v indeg=%v",
+				trial, got.Succ, got.InDeg, want.Succ, want.InDeg)
+		}
 	}
 }
 

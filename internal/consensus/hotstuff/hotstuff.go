@@ -3,6 +3,8 @@
 // ordering options (§2.3.3). Replicas vote to the *next* leader instead
 // of all-to-all, so each view costs O(n) messages; a block commits when it
 // heads a three-chain of quorum certificates over consecutive views.
+// Only a view change costs more: a replica that times out announces its
+// new view to every replica, so views that drifted apart re-align.
 //
 // Liveness caveat, inherent to chained HotStuff with round-robin
 // rotation: committing requires four consecutive leader slots to be
@@ -13,6 +15,8 @@
 package hotstuff
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"permchain/internal/consensus"
@@ -111,23 +115,33 @@ type Replica struct {
 	done     chan struct{}
 
 	// Event-loop state.
-	curView    uint64
-	votedView  uint64
-	blocks     map[types.Hash]*block
-	genesis    types.Hash
-	highQC     qc
-	lockedQC   qc
-	lastExec   types.Hash
-	execSeq    uint64
-	votes      map[types.Hash]map[types.NodeID][]byte // block → votes (as next leader)
-	newViews   map[uint64]map[types.NodeID]qc
-	pending    []request
-	pendSet    map[types.Hash]bool
-	committed  map[types.Hash]bool // request digests already executed
-	proposedIn map[types.Hash]bool // request digests in the active branch
-	fetching   map[types.Hash]bool // ancestor fetches in flight
-	tip        types.Hash          // most recently accepted proposal, for re-running chain rules
-	timer      *consensus.LoopTimer
+	curView   uint64
+	votedView uint64
+	// readyView is the highest view this replica holds a justification
+	// to lead (the QC of the view before it, or a new-view quorum for
+	// it); proposedView is the last view it proposed in, so an honest
+	// leader never proposes twice in one view.
+	readyView    uint64
+	proposedView uint64
+	blocks       map[types.Hash]*block
+	genesis      types.Hash
+	highQC       qc
+	lockedQC     qc
+	lastExec     types.Hash
+	execSeq      uint64
+	votes        map[types.Hash]map[types.NodeID][]byte // block → votes (as next leader)
+	newViews     map[uint64]map[types.NodeID]qc
+	peerViews    map[types.NodeID]uint64 // highest view each peer announced in a new-view
+	pending      []request               // received and not yet executed, FIFO
+	pendSet      map[types.Hash]bool
+	committed    map[types.Hash]bool // request digests already executed
+	fetching     map[types.Hash]bool // ancestor fetches in flight
+	// stalled holds accepted proposals whose chain rules stopped at a
+	// block this replica does not have yet; every fetched link re-runs
+	// them, since proposals arriving out of order may each be the one
+	// that closes a three-chain.
+	stalled map[types.Hash]bool
+	timer   *consensus.LoopTimer
 
 	// Aggregate-vote mode (cfg.AggregateVotes): voteKeys is the cluster's
 	// Schnorr key set (nil under DisableSig — certs carry bitmaps only),
@@ -144,21 +158,23 @@ func New(cfg consensus.Config) *Replica {
 	cfg = cfg.Defaulted()
 	g := &block{View: 0}
 	r := &Replica{
-		cfg:        cfg,
-		ep:         cfg.Net.Join(cfg.Self),
-		decCh:      make(chan consensus.Decision, 65536),
-		submitCh:   make(chan request, 65536),
-		stopCh:     make(chan struct{}),
-		done:       make(chan struct{}),
-		curView:    1,
-		blocks:     map[types.Hash]*block{},
-		votes:      map[types.Hash]map[types.NodeID][]byte{},
-		newViews:   map[uint64]map[types.NodeID]qc{},
-		pendSet:    map[types.Hash]bool{},
-		committed:  map[types.Hash]bool{},
-		proposedIn: map[types.Hash]bool{},
-		fetching:   map[types.Hash]bool{},
-		timer:      consensus.NewLoopTimer(),
+		cfg:       cfg,
+		ep:        cfg.Net.Join(cfg.Self),
+		decCh:     make(chan consensus.Decision, 65536),
+		submitCh:  make(chan request, 65536),
+		stopCh:    make(chan struct{}),
+		done:      make(chan struct{}),
+		curView:   1,
+		readyView: 1, // the genesis QC justifies view 1
+		blocks:    map[types.Hash]*block{},
+		votes:     map[types.Hash]map[types.NodeID][]byte{},
+		newViews:  map[uint64]map[types.NodeID]qc{},
+		peerViews: map[types.NodeID]uint64{},
+		pendSet:   map[types.Hash]bool{},
+		committed: map[types.Hash]bool{},
+		fetching:  map[types.Hash]bool{},
+		stalled:   map[types.Hash]bool{},
+		timer:     consensus.NewLoopTimer(),
 	}
 	gh := g.hash()
 	r.genesis = gh
@@ -244,57 +260,61 @@ func (r *Replica) onRequest(req request) {
 	r.pendSet[req.Digest] = true
 	r.pending = append(r.pending, req)
 	r.timer.Reset(r.cfg.Timeout)
-	if r.leader(r.curView) == r.cfg.Self {
-		r.propose()
+	if r.readyView == r.curView {
+		r.propose(r.curView)
 	}
 }
 
-// hasWork reports whether the chain must keep advancing: pending requests
-// exist, or committed requests are still buried in an unfinished 3-chain.
-func (r *Replica) hasWork() bool {
-	if len(r.pending) > 0 {
-		return true
-	}
-	// Walk the active branch from highQC down to lastExec looking for any
-	// request not yet executed.
-	cur := r.highQC.Block
-	for cur != r.lastExec {
+// branchReqs returns the digests of the requests on the active branch —
+// the blocks from highQC down to the last executed one — which the
+// chain will commit as it grows. Requests outside it (never proposed,
+// or stranded on an abandoned fork) are still to be proposed.
+func (r *Replica) branchReqs() map[types.Hash]bool {
+	in := map[types.Hash]bool{}
+	for cur := r.highQC.Block; cur != r.lastExec; {
 		b, ok := r.blocks[cur]
 		if !ok {
 			break
 		}
-		if len(b.Reqs) > 0 {
-			return true
+		for _, req := range b.Reqs {
+			in[req.Digest] = true
 		}
 		cur = b.Parent
 	}
-	return false
+	return in
 }
 
-// propose creates a block extending highQC and broadcasts it. Called on
-// the current leader when it has a fresh QC or a new-view quorum.
-func (r *Replica) propose() {
+// hasWork reports whether the chain must keep advancing: requests await
+// execution, or proposed ones are still buried in an unfinished
+// three-chain.
+func (r *Replica) hasWork() bool {
+	return len(r.pending) > 0 || len(r.branchReqs()) > 0
+}
+
+// propose creates a block for view extending highQC and broadcasts it.
+// Called when this replica holds the justification to lead view (a
+// fresh QC for the view before it, or a new-view quorum). A request
+// leaves the pending queue only when it executes, so one proposed on a
+// fork that the chain abandons is proposed again.
+func (r *Replica) propose(view uint64) {
+	if view <= r.proposedView || r.leader(view) != r.cfg.Self {
+		return
+	}
+	inBranch := r.branchReqs()
 	var reqs []request
-	var rest []request
 	for _, req := range r.pending {
-		if r.committed[req.Digest] || r.proposedIn[req.Digest] {
-			if !r.proposedIn[req.Digest] {
-				delete(r.pendSet, req.Digest)
-				continue
-			}
-			rest = append(rest, req)
-			continue
+		if !inBranch[req.Digest] {
+			reqs = append(reqs, req)
 		}
-		reqs = append(reqs, req)
 	}
-	r.pending = rest
-	for _, req := range reqs {
-		delete(r.pendSet, req.Digest)
-	}
-	if len(reqs) == 0 && !r.hasWork() {
+	if len(reqs) == 0 && len(inBranch) == 0 {
 		return // nothing to drive; stay quiet
 	}
-	b := block{View: r.curView, Parent: r.highQC.Block, Justify: r.highQC, Reqs: reqs}
+	r.proposedView = view
+	if r.curView < view {
+		r.curView = view
+	}
+	b := block{View: view, Parent: r.highQC.Block, Justify: r.highQC, Reqs: reqs}
 	bh := b.hash()
 	p := proposalMsg{
 		Block: b,
@@ -401,9 +421,15 @@ func (r *Replica) onFetchReply(fr fetchReply) {
 	}
 	r.ensureAncestors(&b)
 	// Each recovered link may complete the path below an already-seen
-	// three-chain: re-run the commit rules from the latest proposal.
-	if tip, ok := r.blocks[r.tip]; ok {
-		r.applyChainRules(tip)
+	// three-chain: re-run the commit rules of every stalled proposal,
+	// oldest first.
+	hs := make([]types.Hash, 0, len(r.stalled))
+	for h := range r.stalled {
+		hs = append(hs, h)
+	}
+	slices.SortFunc(hs, func(a, b types.Hash) int { return cmp.Compare(r.blocks[a].View, r.blocks[b].View) })
+	for _, h := range hs {
+		r.applyChainRules(h)
 	}
 }
 
@@ -463,13 +489,11 @@ func (r *Replica) onProposal(from types.NodeID, p proposalMsg) {
 		r.blocks[bh] = &cp
 	}
 	for _, req := range b.Reqs {
-		r.proposedIn[req.Digest] = true
 		r.cfg.Obs.Mark(req.Digest, 0, obs.PhasePropose)
 	}
-	r.tip = bh
 	r.updateHighQC(b.Justify)
 	r.ensureAncestors(&b)
-	r.applyChainRules(&b)
+	r.applyChainRules(bh)
 
 	// Safety rule: vote once per view, for blocks extending the locked
 	// block or justified above the lock.
@@ -483,8 +507,11 @@ func (r *Replica) onProposal(from types.NodeID, p proposalMsg) {
 	r.votedView = b.View
 	if b.View >= r.curView {
 		r.curView = b.View + 1
-		r.timer.Reset(r.cfg.Timeout)
 	}
+	// Voting is progress even for a replica whose timeouts took it past
+	// the chain's view: it waits for the chain to catch up instead of
+	// timing out again.
+	r.timer.Reset(r.cfg.Timeout)
 	v := voteMsg{View: b.View, Block: bh}
 	if r.aggMode {
 		v.Part = r.voteKeys.Sign(r.cfg.Self, r.voteStatement(b.View, bh))
@@ -520,14 +547,19 @@ func (r *Replica) extends(desc, anc types.Hash) bool {
 
 // applyChainRules walks the justify links of a new block: a one-chain
 // updates highQC (done by caller), a two-chain locks, a three-chain over
-// consecutive views commits.
-func (r *Replica) applyChainRules(b *block) {
+// consecutive views commits. A walk that stops at a missing block marks
+// the proposal stalled until the block is fetched.
+func (r *Replica) applyChainRules(bh types.Hash) {
+	b := r.blocks[bh]
+	delete(r.stalled, bh)
 	b1, ok := r.blocks[b.Justify.Block]
 	if !ok {
+		r.stall(bh, b.Justify.Block)
 		return
 	}
 	b2, ok := r.blocks[b1.Justify.Block]
 	if !ok {
+		r.stall(bh, b1.Justify.Block)
 		return
 	}
 	// Two-chain: lock b2.
@@ -539,26 +571,39 @@ func (r *Replica) applyChainRules(b *block) {
 	}
 	b3, ok := r.blocks[b2.Justify.Block]
 	if !ok {
+		r.stall(bh, b2.Justify.Block)
 		return
 	}
 	// Three-chain over consecutive views commits b3.
-	if b1.View == b2.View+1 && b2.View == b3.View+1 {
-		r.execute(b2.Justify.Block)
+	if b1.View == b2.View+1 && b2.View == b3.View+1 && !r.execute(b2.Justify.Block) {
+		r.stalled[bh] = true
 	}
 }
 
-// execute commits every block from lastExec (exclusive) up to target.
-func (r *Replica) execute(target types.Hash) {
-	if target == r.lastExec || !r.extends(target, r.lastExec) {
-		return
+// stall marks proposal bh as waiting for block missing. The genesis
+// block's empty justify link is the end of every walk, not a gap.
+func (r *Replica) stall(bh, missing types.Hash) {
+	if missing != (types.Hash{}) {
+		r.stalled[bh] = true
 	}
-	// Collect path target → lastExec, then execute in reverse.
+}
+
+// execute commits every block from lastExec (exclusive) up to target. It
+// reports false when a block on that path has not arrived yet; a target
+// that does not extend lastExec is a no-op.
+func (r *Replica) execute(target types.Hash) bool {
+	// Collect path target → lastExec, then execute in reverse. Views
+	// strictly grow along parent links, so the walk ends at lastExec's
+	// view at the latest.
+	execView := r.blocks[r.lastExec].View
 	var path []*block
-	cur := target
-	for cur != r.lastExec {
+	for cur := target; cur != r.lastExec; {
 		b, ok := r.blocks[cur]
 		if !ok {
-			return
+			return false
+		}
+		if b.View <= execView {
+			return true // already executed, or off the executed branch
 		}
 		path = append(path, b)
 		cur = b.Parent
@@ -569,7 +614,7 @@ func (r *Replica) execute(target types.Hash) {
 				continue
 			}
 			r.committed[req.Digest] = true
-			delete(r.proposedIn, req.Digest)
+			delete(r.pendSet, req.Digest)
 			r.execSeq++
 			r.cfg.Obs.MarkLatency("hotstuff/commit_latency", req.Digest, r.execSeq, obs.PhasePropose, obs.PhaseCommit)
 			r.cfg.Obs.Mark(req.Digest, r.execSeq, obs.PhaseApply)
@@ -578,9 +623,23 @@ func (r *Replica) execute(target types.Hash) {
 		}
 	}
 	r.lastExec = target
+	for h := range r.stalled {
+		if r.blocks[h].View <= r.blocks[target].View {
+			delete(r.stalled, h)
+		}
+	}
+	rest := r.pending[:0]
+	for _, req := range r.pending {
+		if !r.committed[req.Digest] {
+			rest = append(rest, req)
+		}
+	}
+	clear(r.pending[len(rest):])
+	r.pending = rest
 	if !r.hasWork() {
 		r.timer.Stop()
 	}
+	return true
 }
 
 func (r *Replica) onVote(from types.NodeID, v voteMsg) {
@@ -611,10 +670,22 @@ func (r *Replica) onVote(from types.NodeID, v voteMsg) {
 		c.Sigs = append(c.Sigs, sig)
 	}
 	r.updateHighQC(c)
-	if r.curView < v.View+1 {
-		r.curView = v.View + 1
+	r.lead(v.View + 1)
+}
+
+// lead records that this replica holds the justification to lead view
+// (the QC of the view before it, or a new-view quorum for it) and
+// proposes there. A replica whose timeouts took it past view still
+// proposes in it: the chain's next link is view, and replicas that have
+// not voted beyond it vote for the block.
+func (r *Replica) lead(view uint64) {
+	if r.readyView < view {
+		r.readyView = view
 	}
-	r.propose()
+	if r.curView < view {
+		r.curView = view
+	}
+	r.propose(view)
 }
 
 // onVoteAggregate folds one vote's signature share into the per-block
@@ -645,15 +716,23 @@ func (r *Replica) onVoteAggregate(from types.NodeID, v voteMsg) {
 	}
 	r.cfg.Obs.Inc("quorumcert/certs_built")
 	r.updateHighQC(qc{View: v.View, Block: v.Block, Agg: cert})
-	if r.curView < v.View+1 {
-		r.curView = v.View + 1
-	}
-	r.propose()
+	r.lead(v.View + 1)
 }
 
+// onNewView handles a peer's view announcement. New-views go to every
+// replica, not only the view's leader, so replicas whose timeouts drifted
+// apart re-synchronize: once f+1 peers (at least one of them correct)
+// announce views above this replica's, it jumps to the highest view that
+// f+1 of them have reached and announces it in turn. Without the jump,
+// replicas stuck one view apart send their new-views to different
+// leaders forever and no leader ever gathers a quorum.
 func (r *Replica) onNewView(from types.NodeID, nv newViewMsg) {
 	r.updateHighQC(nv.HighQC)
-	if r.leader(nv.View) != r.cfg.Self {
+	if from != r.cfg.Self && nv.View > r.peerViews[from] {
+		r.peerViews[from] = nv.View
+		r.syncView()
+	}
+	if r.leader(nv.View) != r.cfg.Self || nv.View <= r.proposedView {
 		return
 	}
 	m, ok := r.newViews[nv.View]
@@ -665,23 +744,49 @@ func (r *Replica) onNewView(from types.NodeID, nv newViewMsg) {
 	if len(m) != r.cfg.ByzQuorum() {
 		return
 	}
-	if r.curView < nv.View {
-		r.curView = nv.View
+	for v := range r.newViews {
+		if v <= nv.View {
+			delete(r.newViews, v)
+		}
 	}
-	r.propose()
+	r.lead(nv.View)
+}
+
+// syncView applies the f+1 jump rule over the peers' announced views.
+func (r *Replica) syncView() {
+	views := make([]uint64, 0, len(r.peerViews))
+	for _, v := range r.peerViews {
+		if v > r.curView {
+			views = append(views, v)
+		}
+	}
+	f1 := r.cfg.MaxByzFaults() + 1
+	if len(views) < f1 {
+		return
+	}
+	slices.Sort(views)
+	r.enterView(views[len(views)-f1])
 }
 
 func (r *Replica) onTimeout() {
-	// A timeout means in-flight blocks may be lost: forget which requests
-	// were "already proposed" so they can be proposed again. Re-proposal
-	// is safe — execution deduplicates by digest. Ancestor fetches whose
-	// replies were lost are likewise forgotten so they can be re-asked.
-	r.proposedIn = map[types.Hash]bool{}
+	// A timeout means in-flight messages may be lost. Ancestor fetches
+	// are asked again for every stalled proposal; requests on an
+	// abandoned fork are proposed again by the next leader, since only
+	// execution removes them from the pending queue.
 	r.fetching = map[types.Hash]bool{}
-	if !r.hasWork() && len(r.pendSet) == 0 {
+	for h := range r.stalled {
+		r.ensureAncestors(r.blocks[h])
+	}
+	if !r.hasWork() {
 		return
 	}
-	r.curView++
+	r.enterView(r.curView + 1)
+}
+
+// enterView moves this replica to view without a proposal for it (a
+// timeout or a view jump) and announces the move with its highQC.
+func (r *Replica) enterView(view uint64) {
+	r.curView = view
 	r.cfg.Obs.Inc("hotstuff/new_views")
 	r.cfg.Obs.SetGauge("hotstuff/view", int64(r.curView))
 	r.cfg.Obs.NoteViewChange()
@@ -689,9 +794,6 @@ func (r *Replica) onTimeout() {
 		"node", int(r.cfg.Self), "view", r.curView)
 	r.timer.Reset(r.cfg.Timeout)
 	nv := newViewMsg{View: r.curView, HighQC: r.highQC}
-	if r.leader(r.curView) == r.cfg.Self {
-		r.onNewView(r.cfg.Self, nv)
-	} else {
-		r.ep.Send(r.leader(r.curView), msgNewView, nv)
-	}
+	r.ep.Multicast(r.cfg.Nodes, msgNewView, nv)
+	r.onNewView(r.cfg.Self, nv)
 }

@@ -2,6 +2,8 @@ package hotstuff
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -402,5 +404,73 @@ func TestAggregatedQCVerification(t *testing.T) {
 	// Genesis stays axiomatic in aggregate mode.
 	if !r.verifyQC(qc{View: 0, Block: r.genesis}) {
 		t.Fatal("genesis QC rejected in aggregate mode")
+	}
+}
+
+// TestLivenessAfterLatencySpike is the n=4 pacemaker regression. A burst
+// of link delays longer than the view timeout (with loss in one schedule)
+// makes replicas time out at different moments: proposals land on forks
+// the chain abandons, views drift apart, and proposals arrive out of
+// order so a replica lacks the blocks below a three-chain. Once the links
+// calm down, every request must commit on every replica in one order, in
+// counted and in aggregated vote mode.
+func TestLivenessAfterLatencySpike(t *testing.T) {
+	schedules := []struct {
+		name string
+		seed int64
+		slow int // replica whose links are delayed; -1 delays every link
+		drop float64
+	}{
+		{"all-links", 5, -1, 0},
+		{"slow-replica", 8, 0, 0},
+		{"lossy", 3, -1, 0.3},
+	}
+	for _, mode := range []string{"counted", "aggregated"} {
+		for _, sc := range schedules {
+			t.Run(mode+"/"+sc.name, func(t *testing.T) {
+				var net *network.Network
+				var reps []*Replica
+				if mode == "counted" {
+					net, reps = cluster(t, 4)
+				} else {
+					net, reps = aggCluster(t, 4, false)
+				}
+				var mu sync.Mutex
+				rng := rand.New(rand.NewSource(sc.seed))
+				net.SetLatency(func(from, to types.NodeID) time.Duration {
+					if sc.slow >= 0 && from != types.NodeID(sc.slow) && to != types.NodeID(sc.slow) {
+						return 0
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					return time.Duration(rng.Intn(400)) * time.Millisecond
+				})
+				net.SetDropRate(sc.drop)
+				const k = 12
+				for i := 0; i < k; i++ {
+					v, d := val(i)
+					reps[i%4].Submit(v, d)
+				}
+				time.Sleep(1200 * time.Millisecond)
+				net.SetDropRate(0)
+				net.SetLatency(func(_, _ types.NodeID) time.Duration { return 0 })
+				var ref []consensus.Decision
+				for i, r := range reps {
+					ds := consensus.WaitDecisions(r.Decisions(), k, 10*time.Second)
+					if len(ds) != k {
+						t.Fatalf("replica %d committed %d/%d after the spike", i, len(ds), k)
+					}
+					if ref == nil {
+						ref = ds
+						continue
+					}
+					for j := range ds {
+						if ds[j].Digest != ref[j].Digest {
+							t.Fatalf("replica %d position %d digest mismatch", i, j)
+						}
+					}
+				}
+			})
+		}
 	}
 }
