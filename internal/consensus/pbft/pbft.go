@@ -759,6 +759,14 @@ func (r *Replica) acceptPrePrepare(from types.NodeID, pp prePrepare) {
 	if s.executed {
 		return
 	}
+	if s.ppView != pp.View {
+		// A slot the new view did not re-propose (above the new-view's
+		// MaxSeq) still carries the old view's send flags; without the
+		// reset this replica would never commit it in the new view, and
+		// verifyVote would drop the new view's prepares as late.
+		s.sentCommit = false
+		s.resetAggPhase()
+	}
 	s.hasPP = true
 	s.ppView = pp.View
 	s.digest = pp.Digest

@@ -276,3 +276,37 @@ func TestExecutedDigestsBoundedAndReproposalExecutesOnce(t *testing.T) {
 		t.Fatalf("re-proposed digest delivered again: %v", ds)
 	}
 }
+
+// TestNewViewPrePrepareResetsSentCommit covers a slot that prepared in
+// one view and is proposed afresh in the next without the new-view
+// message covering it (its seq is above the new view's MaxSeq). The
+// replica must prepare and commit it in the new view: the old view's
+// sentCommit must neither suppress the new commit nor make the new
+// view's prepares look late to verifyVote.
+func TestNewViewPrePrepareResetsSentCommit(t *testing.T) {
+	h := newHarness(t, 2) // a backup in views 0 and 1
+	d0 := h.prePrepare(0, 0, 1, "v0")
+	h.vote(0, msgPrepare, 0, 1, d0, false)
+	h.vote(1, msgPrepare, 0, 1, d0, false)
+	s := h.r.slots[1]
+	if !s.sentCommit || s.committed {
+		t.Fatalf("view 0: sentCommit=%v committed=%v; want true, false", s.sentCommit, s.committed)
+	}
+	// The view change completed without covering seq 1.
+	h.r.view = 1
+	d1 := h.prePrepare(1, 1, 1, "v1")
+	h.vote(1, msgPrepare, 1, 1, d1, false)
+	h.vote(3, msgPrepare, 1, 1, d1, false)
+	if got := s.prepares.Count(viewKey(1), d1); got != 3 {
+		t.Fatalf("view 1 prepares = %d, want 3 (own + nodes 1, 3); unverified %d", got, h.unverified())
+	}
+	if got := s.commits.Count(viewKey(1), d1); got != 1 {
+		t.Fatalf("view 1: own commit not cast (commits = %d)", got)
+	}
+	h.vote(1, msgCommit, 1, 1, d1, false)
+	h.vote(3, msgCommit, 1, 1, d1, false)
+	ds := h.decisions()
+	if len(ds) != 1 || ds[0].Digest != d1 {
+		t.Fatalf("decisions = %v, want one for the view 1 digest", ds)
+	}
+}
