@@ -367,8 +367,15 @@ func runCrashArm(cfg OverloadConfig, ccfg core.Config, c *core.Chain, rep *Overl
 		rep.failf("pre-crash burst shed nothing (capacity %d)", cfg.Capacity)
 	}
 	c.Flush()
-	// Let part of the admitted burst commit, then kill mid-stream.
-	c.Await(core.AwaitSpec{Nodes: []int{0}, Txs: cfg.Capacity / 4, Timeout: 20 * time.Second})
+	// Let part of the admitted burst commit, then kill mid-stream. The
+	// wait is on a receipt, not on node 0's applied count: a receipt
+	// settles only once its block is durable, a step behind apply, so a
+	// crash right after an applied-count wait can orphan every receipt.
+	// The pool is FIFO, so the q-th receipt settling means the first q
+	// did.
+	if q := min(cfg.Capacity/4, len(receipts)); q > 0 {
+		receipts[q-1].Wait(20 * time.Second)
+	}
 	c.Crash()
 	var durable uint64
 	for _, n := range c.Nodes() {
