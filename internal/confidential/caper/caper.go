@@ -165,7 +165,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 		globalSize = cfg.Enterprises
 	}
 	n.global = alloc.NewCluster(types.ShardID(0), cluster.Options{Size: globalSize, Consensus: consensus.Config{Timeout: cfg.Timeout / 4, DisableSig: cfg.DisableSig}})
-	go n.drainCross()
+	// Subscribe before any traffic: the cluster forwards a decision only
+	// to a subscriber that already exists, so subscribing inside the
+	// drain goroutine could lose a fast first decision.
+	go n.drainCross(n.global.Subscribe())
 	return n, nil
 }
 
@@ -312,9 +315,8 @@ func (n *Network) SubmitCross(tx *types.Transaction) error {
 
 // drainCross applies globally ordered cross-enterprise transactions to
 // every view, in decision order.
-func (n *Network) drainCross() {
+func (n *Network) drainCross(decs <-chan consensus.Decision) {
 	defer close(n.drainDone)
-	decs := n.global.Subscribe()
 	for {
 		select {
 		case <-n.stopCh:
